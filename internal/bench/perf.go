@@ -157,10 +157,10 @@ func gridPoint(name string, o PerfOptions, families []string, quick bool) (PerfP
 // churnRun is one task-churn run: an n-node grid machine running tasks
 // short-lived tasks, each first-touching a small buffer and pushing it
 // one node over with move_pages. Tasks are pinned round-robin over the
-// machine's cores and launched one wave per core count — a core runs
-// one thread at a time on real hardware, and an unbounded spawn would
-// put thousands of concurrent flows on the fluid network, which costs
-// O(flows) per rate reconfiguration. The run exercises the sharded
+// machine's cores and launched one wave per core count, as a core runs
+// one thread at a time on real hardware. (A rate reconfiguration
+// re-solves only the flow component a transfer touches, but still
+// advances every active flow.) The run exercises the sharded
 // frame allocator, the extent page-table storage and the pooled event
 // queue at machine sizes the paper's host never had. demotion
 // additionally starts all n kswapd daemons on the batched hub.

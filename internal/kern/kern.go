@@ -10,6 +10,7 @@ package kern
 
 import (
 	"fmt"
+	"slices"
 
 	"numamig/internal/mem"
 	"numamig/internal/migrate"
@@ -98,6 +99,10 @@ type Kernel struct {
 	NodeCtrl []*sim.Link // per-node memory controller
 	HT       []*sim.Link // per topology link
 	migChan  map[[3]int32]*sim.Link
+	// paths memoizes the fluid paths of migPath and userPath, which
+	// depend only on their arguments and the fixed topology; at most
+	// maxPaths entries.
+	paths map[pathKey][]*sim.Link
 
 	// Global kernel locks.
 	migLock *sim.Resource // serialized migration setup (pagevec drain etc.)
@@ -153,6 +158,7 @@ func New(eng *sim.Engine, m *topology.Machine, p model.Params, backed bool) *Ker
 		P:       p,
 		Net:     sim.NewFluid(eng),
 		migChan: map[[3]int32]*sim.Link{},
+		paths:   map[pathKey][]*sim.Link{},
 		migLock: sim.NewResource(eng, "mig_setup", 1),
 		lruLock: sim.NewResource(eng, "lru_lock", 1),
 	}
@@ -359,21 +365,59 @@ func (k *Kernel) routeLinks(from, to topology.NodeID) []*sim.Link {
 	return out
 }
 
+// pathKey names one memoized fluid path: a user path, or a migration
+// path on the lazy or the sync channel.
+type pathKey struct {
+	core, src, dst int32
+	kind           uint8
+}
+
+const (
+	pathUser = iota
+	pathMig
+	pathMigSync
+)
+
+// maxPaths bounds the path memo; past it, paths are built per call.
+const maxPaths = 1 << 14
+
+// memoPath records a freshly built path under key while the memo has
+// room. Memoized paths are shared by every transfer that uses them and
+// never modified.
+func (k *Kernel) memoPath(key pathKey, links []*sim.Link) []*sim.Link {
+	links = slices.Clip(links)
+	if len(k.paths) < maxPaths {
+		k.paths[key] = links
+	}
+	return links
+}
+
 // migPath returns the fluid path for a kernel page migration executed on
 // core, moving data src -> dst. syncPath selects the batched
 // move_pages/migrate_pages channel capacity.
 func (k *Kernel) migPath(core topology.CoreID, src, dst topology.NodeID, syncPath bool) []*sim.Link {
+	key := pathKey{int32(core), int32(src), int32(dst), pathMig}
+	if syncPath {
+		key.kind = pathMigSync
+	}
+	if links, ok := k.paths[key]; ok {
+		return links
+	}
 	links := []*sim.Link{k.KernEng[core], k.MigChan(src, dst, syncPath), k.NodeCtrl[src]}
 	if src != dst {
 		links = append(links, k.NodeCtrl[dst])
 	}
-	return links
+	return k.memoPath(key, links)
 }
 
 // userPath returns the fluid path for a user-level copy or stream on
 // core touching data on srcNode (and optionally writing dstNode; pass
 // src==dst for pure streams).
 func (k *Kernel) userPath(core topology.CoreID, src, dst topology.NodeID) []*sim.Link {
+	key := pathKey{int32(core), int32(src), int32(dst), pathUser}
+	if links, ok := k.paths[key]; ok {
+		return links
+	}
 	coreNode := k.M.NodeOf(core)
 	links := []*sim.Link{k.UserEng[core], k.NodeCtrl[src]}
 	if dst != src {
@@ -383,7 +427,7 @@ func (k *Kernel) userPath(core topology.CoreID, src, dst topology.NodeID) []*sim
 	if dst != src && dst != coreNode {
 		links = append(links, k.routeLinks(coreNode, dst)...)
 	}
-	return dedupLinks(links)
+	return k.memoPath(key, dedupLinks(links))
 }
 
 func dedupLinks(ls []*sim.Link) []*sim.Link {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"numamig/internal/model"
@@ -705,4 +706,34 @@ func TestGetMempolicyRoundTrip(t *testing.T) {
 			t.Fatal("unmapped get_mempolicy accepted")
 		}
 	})
+}
+
+// TestFluidPathMemo: a path is built once per (core, src, dst, channel)
+// and shared after; once the memo is full, new paths are still built,
+// just not kept.
+func TestFluidPathMemo(t *testing.T) {
+	k := newHarness(false).k
+	u := k.userPath(0, 1, 2)
+	if again := k.userPath(0, 1, 2); &again[0] != &u[0] {
+		t.Fatal("userPath rebuilt a memoized path")
+	}
+	lazy, sync := k.migPath(0, 1, 2, false), k.migPath(0, 1, 2, true)
+	if lazy[1] != k.MigChan(1, 2, false) || sync[1] != k.MigChan(1, 2, true) {
+		t.Fatal("migPath sync and lazy paths share a channel")
+	}
+	if again := k.migPath(0, 1, 2, true); &again[0] != &sync[0] {
+		t.Fatal("migPath rebuilt a memoized path")
+	}
+	for i := len(k.paths); i < maxPaths; i++ {
+		k.paths[pathKey{core: -1, src: int32(i)}] = nil
+	}
+	fresh := k.userPath(1, 3, 3)
+	if len(k.paths) != maxPaths {
+		t.Fatalf("memo grew past maxPaths: %d entries", len(k.paths))
+	}
+	want := []*sim.Link{k.UserEng[1], k.NodeCtrl[3]}
+	want = append(want, k.routeLinks(k.M.NodeOf(1), 3)...)
+	if !slices.Equal(fresh, want) {
+		t.Fatalf("path past the bound = %v, want %v", fresh, want)
+	}
 }

@@ -71,7 +71,18 @@ func (e *Engine) Now() Time { return e.now }
 // Steps returns the number of events processed so far.
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
-func (e *Engine) schedule(t Time, p *Proc, fn func()) {
+// evKey names one scheduled event: its instant and its position in that
+// instant's FIFO, both fixed when the event is scheduled.
+type evKey struct {
+	t Time
+	i int
+}
+
+// noEvent is the key of no event.
+var noEvent = evKey{t: -1}
+
+// schedule queues an event and returns its key.
+func (e *Engine) schedule(t Time, p *Proc, fn func()) evKey {
 	if t < e.now {
 		t = e.now
 	}
@@ -83,7 +94,12 @@ func (e *Engine) schedule(t Time, p *Proc, fn func()) {
 	}
 	b.ev = append(b.ev, event{p: p, fn: fn})
 	e.npend++
+	return evKey{t, len(b.ev) - 1}
 }
+
+// firing returns the key of the event being dispatched; call it only
+// from an engine callback.
+func (e *Engine) firing() evKey { return evKey{e.cur.t, e.cur.i - 1} }
 
 // getBucket takes a bucket from the free list (retaining its event
 // backing array) or allocates one.

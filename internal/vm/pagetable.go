@@ -95,6 +95,19 @@ type Chunk struct {
 	HugeFallback bool
 }
 
+// empty reports whether the chunk maps no page.
+func (c *Chunk) empty() bool {
+	if c.dense == nil {
+		return len(c.runs) == 0
+	}
+	for i := range c.dense {
+		if c.dense[i] != (PTE{}) {
+			return false
+		}
+	}
+	return true
+}
+
 // ChunkIndex returns the page-table-chunk index of a VPN.
 func ChunkIndex(v VPN) uint64 { return uint64(v) / model.PTEChunkPages }
 

@@ -146,7 +146,32 @@ func (s *Space) Unmap(start Addr, length int64) error {
 	if j > i {
 		s.vmas = append(s.vmas[:i], s.vmas[j:]...)
 	}
+	s.dropOrphanChunks(start, end)
 	return nil
+}
+
+// dropOrphanChunks releases the page-table chunks at the edges of the
+// unmapped [start, end) that are empty and that no mapping overlaps any
+// more. freeRange recycles the chunks an unmap covers whole; a chunk
+// shared by several small mappings goes with the last of them instead
+// of staying behind, empty, for the life of the space.
+func (s *Space) dropOrphanChunks(start, end Addr) {
+	for _, ci := range [2]uint64{ChunkIndex(PageOf(start)), ChunkIndex(PageOf(end - 1))} {
+		c := s.PT.chunks[ci]
+		if c == nil || c.Huge || !c.empty() {
+			continue
+		}
+		lo, hi := VPN(ci*model.PTEChunkPages).Base(), VPN((ci+1)*model.PTEChunkPages).Base()
+		if !s.overlaps(lo, hi) {
+			s.PT.releaseChunk(ci)
+		}
+	}
+}
+
+// overlaps reports whether any VMA intersects [lo, hi).
+func (s *Space) overlaps(lo, hi Addr) bool {
+	i := sort.Search(len(s.vmas), func(i int) bool { return s.vmas[i].End > lo })
+	return i < len(s.vmas) && s.vmas[i].Start < hi
 }
 
 // freeRange releases all frames mapped in [start, end).

@@ -244,6 +244,43 @@ func TestUnmapPartial(t *testing.T) {
 	}
 }
 
+// TestUnmapDropsSharedChunk: small mappings share a page-table chunk;
+// the chunk, dense after a *PTE alias was taken, is released with the
+// last mapping that overlaps it, not kept empty for the life of the
+// space (the churn workloads map and unmap such buffers forever).
+func TestUnmapDropsSharedChunk(t *testing.T) {
+	s := newSpace()
+	var bufs []Addr
+	for i := 0; i < 3; i++ {
+		a, _ := s.Map(8*model.PageSize, ProtRW, DefaultPolicy(), 0, "buf")
+		f, err := s.Phys.Alloc(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := s.PT.Entry(PageOf(a)) // materializes the chunk
+		e.Frame, e.Flags = f, PTEPresent
+		bufs = append(bufs, a)
+	}
+	if ChunkIndex(PageOf(bufs[0])) != ChunkIndex(PageOf(bufs[2])) || s.PT.NumChunks() != 1 {
+		t.Fatalf("buffers span %d chunks, want one shared chunk", s.PT.NumChunks())
+	}
+	for i, a := range bufs {
+		if err := s.Unmap(a, 8*model.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		want := 1
+		if i == len(bufs)-1 {
+			want = 0
+		}
+		if got := s.PT.NumChunks(); got != want {
+			t.Fatalf("after unmapping %d of %d buffers: %d chunks, want %d", i+1, len(bufs), got, want)
+		}
+	}
+	if got := s.Phys.Stats(0).Allocated; got != 0 {
+		t.Fatalf("allocated after unmapping everything = %d, want 0", got)
+	}
+}
+
 // Property: random sequences of Apply on sub-ranges preserve VMA
 // invariants and total mapped length.
 func TestApplyInvariantsProperty(t *testing.T) {
