@@ -1,22 +1,22 @@
-// Command numabench regenerates the paper's tables and figures on the
-// simulated platform and runs the scenario grid.
+// Command numabench runs the scenario grid, the artifact campaigns that
+// regenerate the paper's tables and figures, and the perf harness.
 //
 // Usage:
 //
-//	numabench -exp fig4                   # one experiment, full scale
-//	numabench -exp table1 -quick          # reduced sweep
-//	numabench -all -quick                 # every figure/table
 //	numabench -grid                       # full scenario grid, aligned table
 //	numabench -grid -parallel 8 -quick    # trimmed grid, 8 workers
 //	numabench -grid -format json          # machine-readable output
 //	numabench -grid -families replication # one scenario family
+//	numabench -grid -families fig4 -quick # one paper figure's cells
 //	numabench -grid -nodes 1,2,4,8        # sweep machine sizes explicitly
 //	numabench -grid -cores-per-node 2     # narrower sockets
 //	numabench -list                       # enumerate families + counts
-//	numabench -artifact artifacts/fig7.json  # paper-artifact campaign: repeats + grouped analysis
+//	numabench -artifact artifacts/paper-throughput.json  # Figs. 4, 5, 7 + huge pages, rendered
+//	numabench -perf -quick -perf-out out  # perf harness (-scale, -serve pick a suite)
 //
-// Experiments: fig4 fig5 fig6a fig6b fig7 table1 fig8 blas1.
-// Grid families: see -list (all registered families).
+// Grid families: see -list (all registered families; fig4 ... policies
+// are the paper's figures and tables, one family each). The committed
+// campaigns under artifacts/ render them; see README.md.
 //
 // Grid output is deterministic: the same -seed produces byte-identical
 // JSON/CSV whatever -parallel is, because every scenario runs its own
@@ -44,10 +44,8 @@ import (
 )
 
 func main() {
-	expID := flag.String("exp", "", "experiment id ("+strings.Join(bench.Experiments(), ", ")+")")
-	all := flag.Bool("all", false, "run every experiment")
 	quick := flag.Bool("quick", false, "reduced parameter sweeps (seconds instead of minutes)")
-	grid := flag.Bool("grid", false, "run the scenario grid (internal/exp) instead of one experiment")
+	grid := flag.Bool("grid", false, "run the scenario grid (internal/exp)")
 	list := flag.Bool("list", false, "list registered scenario families with counts and descriptions")
 	families := flag.String("families", "", "comma-separated scenario families for -grid (default: all of "+strings.Join(exp.Families(), ", ")+")")
 	parallel := flag.Int("parallel", 0, "grid worker goroutines (0 = GOMAXPROCS)")
@@ -95,7 +93,7 @@ func main() {
 			}
 		}()
 	}
-	if err := run(*expID, *all, *quick, *grid, *list, *families, *parallel, *format,
+	if err := run(*quick, *grid, *list, *families, *parallel, *format,
 		*seed, *nodes, *coresPerNode, *scenario, *trace, *artifactCfg, *artifactOut,
 		*perf, *scale, *serve, *perfOut, *repeats); err != nil {
 		if code, ok := err.(exitCode); ok {
@@ -114,7 +112,7 @@ type exitCode int
 
 func (c exitCode) Error() string { return fmt.Sprintf("exit %d", int(c)) }
 
-func run(expID string, all, quick, grid, list bool, families string, parallel int,
+func run(quick, grid, list bool, families string, parallel int,
 	format string, seed int64, nodes string, coresPerNode int,
 	scenario, trace, artifactCfg, artifactOut string,
 	perf, scale, serve bool, perfOut string, repeats int) error {
@@ -134,8 +132,8 @@ func run(expID string, all, quick, grid, list bool, families string, parallel in
 		return listFamilies(os.Stdout, opts)
 	}
 	if artifactCfg != "" {
-		if grid || perf || all || expID != "" {
-			fmt.Fprintln(os.Stderr, "numabench: -artifact cannot combine with -grid/-perf/-exp/-all")
+		if grid || perf {
+			fmt.Fprintln(os.Stderr, "numabench: -artifact cannot combine with -grid/-perf")
 			return exitCode(2)
 		}
 		return runArtifact(artifactCfg, artifactOut, parallel)
@@ -174,26 +172,8 @@ func run(expID string, all, quick, grid, list bool, families string, parallel in
 		fmt.Fprintln(os.Stderr, "numabench: -scenario and -trace require -grid")
 		return exitCode(2)
 	}
-
-	o := bench.Options{Quick: quick}
-	var ids []string
-	switch {
-	case all:
-		ids = bench.Experiments()
-	case expID != "":
-		ids = strings.Split(expID, ",")
-	default:
-		fmt.Fprintln(os.Stderr, "numabench: need -exp <id>, -all, -grid or -perf; ids:", strings.Join(bench.Experiments(), ", "))
-		return exitCode(2)
-	}
-	for _, id := range ids {
-		start := time.Now()
-		if err := bench.Run(strings.TrimSpace(id), o, os.Stdout); err != nil {
-			return err
-		}
-		fmt.Printf("# (%s regenerated in %v wall time)\n\n", id, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+	fmt.Fprintln(os.Stderr, "numabench: need -grid, -list, -artifact or -perf")
+	return exitCode(2)
 }
 
 // runArtifact executes a paper-artifact campaign (internal/artifact):

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"numamig/internal/bench"
 	"numamig/internal/exp"
 )
 
@@ -19,7 +18,6 @@ const (
 	RawCSVName  = "raw.csv"
 	SummaryName = "summary.json"
 	TablesName  = "tables.md"
-	FiguresName = "figures.txt"
 )
 
 // RunOptions tunes campaign execution without affecting its output
@@ -48,7 +46,6 @@ type Outcome struct {
 	RawCSV  []byte // present when the config's outputs include csv
 	Summary []byte // json
 	Tables  []byte // md
-	Figures []byte // figures
 }
 
 // RunCampaign executes a validated campaign config: the configured
@@ -136,22 +133,11 @@ func RunCampaign(cfg Config, ro RunOptions) (*Outcome, error) {
 			return nil, err
 		}
 	}
-	if want[OutFigures] {
-		var buf bytes.Buffer
-		for _, id := range cfg.Experiments {
-			fmt.Fprintf(&buf, "# experiment: %s\n", id)
-			if err := bench.Run(id, bench.Options{Quick: cfg.Quick}, &buf); err != nil {
-				return nil, fmt.Errorf("artifact: experiment %s: %w", id, err)
-			}
-			buf.WriteByte('\n')
-		}
-		out.Figures = buf.Bytes()
-	}
 	return out, nil
 }
 
 // WriteDir writes the rendered artifacts into dir (created as needed):
-// raw.csv, summary.json, tables.md and figures.txt, as selected by the
+// raw.csv, summary.json and tables.md, as selected by the
 // config's output set.
 func (o *Outcome) WriteDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -164,7 +150,6 @@ func (o *Outcome) WriteDir(dir string) error {
 		{RawCSVName, o.RawCSV},
 		{SummaryName, o.Summary},
 		{TablesName, o.Tables},
-		{FiguresName, o.Figures},
 	}
 	for _, f := range files {
 		if f.data == nil {

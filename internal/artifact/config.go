@@ -1,13 +1,14 @@
 // Package artifact is the paper-artifact mode: a declarative
-// experiment-campaign runner layered on internal/exp and
-// internal/bench. A campaign is specified as data (a JSON Config):
-// which scenario families to run, at which machine sizes, how many
-// repeats, and how per-repeat seeds derive from the base seed. The
-// runner executes the grid once per repeat, streams the per-repeat raw
-// rows to CSV (schema = internal/exp.Columns(), the single grid-report
-// column registry), then runs a grouped analysis pass — per-cell
-// mean/std/min/max over every metric column plus declarative speedup
-// ratios (e.g. patched vs unpatched) — and renders Fig. 7-style
+// experiment-campaign runner layered on internal/exp, and the one way
+// the repository publishes a figure or table. A campaign is specified
+// as data (a JSON Config): which scenario families to run (the paper
+// families fig4 ... policies among them), at which machine sizes, how
+// many repeats, and how per-repeat seeds derive from the base seed.
+// The runner executes the grid once per repeat, streams the per-repeat
+// raw rows to CSV (schema = internal/exp.Columns(), the single
+// grid-report column registry), then runs a grouped analysis pass —
+// per-cell mean/std/min/max over every metric column plus declarative
+// speedup ratios (e.g. patched vs unpatched) — and renders Fig. 7-style
 // scaling tables as Markdown and machine-readable JSON.
 //
 // Everything derived is checkable: tools/artifactcheck re-parses the
@@ -26,7 +27,6 @@ import (
 	"regexp"
 	"strings"
 
-	"numamig/internal/bench"
 	"numamig/internal/exp"
 	"numamig/internal/topology"
 )
@@ -61,10 +61,9 @@ const (
 
 // Output artifact selectors for Config.Outputs.
 const (
-	OutCSV     = "csv"     // raw per-repeat rows (raw.csv)
-	OutJSON    = "json"    // grouped analysis (summary.json)
-	OutMD      = "md"      // Fig. 7-style scaling tables (tables.md)
-	OutFigures = "figures" // classic bench figure/table text (figures.txt)
+	OutCSV  = "csv"  // raw per-repeat rows (raw.csv)
+	OutJSON = "json" // grouped analysis (summary.json)
+	OutMD   = "md"   // Fig. 7-style scaling tables (tables.md)
 )
 
 // Axis names a TableSpec can lay cells out by.
@@ -140,12 +139,7 @@ type Config struct {
 	// Speedups declares the relative-speedup ratio columns.
 	Speedups []SpeedupSpec `json:"speedups,omitempty"`
 
-	// Experiments additionally regenerates classic internal/bench
-	// figures/tables (e.g. "fig7") into figures.txt.
-	Experiments []string `json:"experiments,omitempty"`
-
-	// Outputs selects the written artifacts (empty = csv, json, md,
-	// plus figures when Experiments is non-empty).
+	// Outputs selects the written artifacts (empty = csv, json, md).
 	Outputs []string `json:"outputs,omitempty"`
 }
 
@@ -176,8 +170,7 @@ func ParseConfig(data []byte) (Config, error) {
 
 // Validate checks every declarative reference in the config against
 // the registries it names: scenario families against internal/exp,
-// metric columns against exp.Columns(), experiments against
-// internal/bench, axes against the axis set.
+// metric columns against exp.Columns(), axes against the axis set.
 func (c *Config) Validate() error {
 	if c.Schema != ConfigSchema {
 		return fmt.Errorf("artifact: config schema %q, want %q", c.Schema, ConfigSchema)
@@ -307,32 +300,13 @@ func (c *Config) Validate() error {
 		}
 	}
 
-	knownExp := map[string]bool{}
-	for _, e := range bench.Experiments() {
-		knownExp[e] = true
-	}
-	seenE := map[string]bool{}
-	for _, e := range c.Experiments {
-		if !knownExp[e] {
-			return fmt.Errorf("artifact: unknown experiment %q (have %v)", e, bench.Experiments())
-		}
-		if seenE[e] {
-			return fmt.Errorf("artifact: duplicate experiment %q", e)
-		}
-		seenE[e] = true
-	}
-
 	seenO := map[string]bool{}
 	for _, o := range c.Outputs {
 		switch o {
 		case OutCSV, OutJSON, OutMD:
-		case OutFigures:
-			if len(c.Experiments) == 0 {
-				return fmt.Errorf("artifact: output %q requires at least one experiment", OutFigures)
-			}
 		default:
-			return fmt.Errorf("artifact: unknown output %q (want %s, %s, %s or %s)",
-				o, OutCSV, OutJSON, OutMD, OutFigures)
+			return fmt.Errorf("artifact: unknown output %q (want %s, %s or %s)",
+				o, OutCSV, OutJSON, OutMD)
 		}
 		if seenO[o] {
 			return fmt.Errorf("artifact: duplicate output %q", o)
@@ -358,9 +332,6 @@ func (c *Config) outputs() map[string]bool {
 	out := map[string]bool{}
 	if len(c.Outputs) == 0 {
 		out[OutCSV], out[OutJSON], out[OutMD] = true, true, true
-		if len(c.Experiments) > 0 {
-			out[OutFigures] = true
-		}
 		return out
 	}
 	for _, o := range c.Outputs {

@@ -80,9 +80,8 @@ func TestValidateRejections(t *testing.T) {
 				{Name: "s", Metric: "mbps", Numer: "c", Denom: "d"},
 			}
 		}, "duplicate speedup"},
-		{"unknown experiment", func(c *Config) { c.Experiments = []string{"fig99"} }, "unknown experiment"},
 		{"unknown output", func(c *Config) { c.Outputs = []string{"pdf"} }, "unknown output"},
-		{"figures without experiments", func(c *Config) { c.Outputs = []string{OutFigures} }, "requires at least one experiment"},
+		{"retired figures output", func(c *Config) { c.Outputs = []string{"figures"} }, "unknown output"},
 		{"duplicate output", func(c *Config) { c.Outputs = []string{OutCSV, OutCSV} }, "duplicate output"},
 	}
 	for _, c := range cases {
@@ -97,6 +96,10 @@ func TestValidateRejections(t *testing.T) {
 func TestParseConfigRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"schema":"` + ConfigSchema + `","name":"x","families":["migration"],"repeats":1,"base_seed":1,"seed_policy":"fixed","bogus_knob":3}`)); err == nil {
 		t.Error("unknown field accepted")
+	}
+	// The retired experiments field must fail loudly, not drop figures.
+	if _, err := ParseConfig([]byte(`{"schema":"` + ConfigSchema + `","name":"x","families":["migration"],"repeats":1,"base_seed":1,"seed_policy":"fixed","experiments":["fig7"]}`)); err == nil {
+		t.Error("retired experiments field accepted")
 	}
 	if _, err := ParseConfig([]byte(`{"schema":"` + ConfigSchema + `","name":"x","families":["migration"],"repeats":1,"base_seed":1,"seed_policy":"fixed"} {"second":true}`)); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Errorf("trailing document: err = %v", err)
@@ -151,12 +154,8 @@ func TestSeedForDerivation(t *testing.T) {
 func TestEffectiveDefaults(t *testing.T) {
 	cfg := validConfig()
 	out := cfg.outputs()
-	if !out[OutCSV] || !out[OutJSON] || !out[OutMD] || out[OutFigures] {
+	if !out[OutCSV] || !out[OutJSON] || !out[OutMD] || len(out) != 3 {
 		t.Errorf("default outputs = %v", out)
-	}
-	cfg.Experiments = []string{"fig7"}
-	if !cfg.outputs()[OutFigures] {
-		t.Error("experiments configured but figures not in the default output set")
 	}
 	// The metric subset must come back in schema order, not config order.
 	cfg.Metrics = []string{"faults", "mbps"}

@@ -1,9 +1,12 @@
-// Perf harness: a fixed grid of simulator-core workloads measured in
-// wall time, so every PR commits a comparable BENCH_core.json /
-// BENCH_exp.json pair and the repository records a performance
+// Package bench is the perf harness: fixed suites of simulator
+// workloads measured in wall time, so every change commits comparable
+// BENCH_core.json / BENCH_exp.json / BENCH_scale.json /
+// BENCH_serve.json reports and the repository records a performance
 // trajectory instead of anecdotes. cmd/numabench -perf drives it; see
 // ARCHITECTURE.md ("Performance trajectory") for the schema and the
-// workflow, and tools/benchcmp for comparing two reports.
+// workflow, and tools/benchcmp for comparing two reports. The paper's
+// figures are not here: they are exp families rendered by the
+// internal/artifact campaigns.
 package bench
 
 import (
@@ -80,7 +83,8 @@ type PerfPoint struct {
 	// high-water RSS (Linux VmHWM) across all its repeats. Per-point
 	// (unlike the report-level PeakRSSBytes), so a memory regression is
 	// attributable; 0 when the point stayed under an earlier point's
-	// peak, since the high-water mark is monotonic.
+	// peak. The delta is clamped at 0: VmHWM should be monotonic, but a
+	// later read can come out a few pages lower.
 	PeakRSSDeltaBytes int64 `json:"peak_rss_delta_bytes,omitempty"`
 }
 
@@ -130,8 +134,14 @@ func measure(name string, repeats int, fn func() (int, uint64)) PerfPoint {
 		pt.ScenariosPerSec = float64(pt.Scenarios) / secs
 		pt.PagesMigratedPerSec = float64(pt.PagesMigrated) / secs
 	}
-	pt.PeakRSSDeltaBytes = peakRSS() - rss0
+	pt.PeakRSSDeltaBytes = rssDelta(rss0, peakRSS())
 	return pt
+}
+
+// rssDelta is the high-water growth from before to after, never
+// negative.
+func rssDelta(before, after int64) int64 {
+	return max(after-before, 0)
 }
 
 // gridPoint measures one family set through the concurrent runner.
@@ -298,58 +308,75 @@ func scaleIdlePoint(o PerfOptions) PerfPoint {
 	})
 }
 
+// newReport starts a report with the run's header fields.
+func newReport(o PerfOptions) PerfReport {
+	return PerfReport{
+		Schema:     PerfSchema,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Parallel:   o.Parallel,
+		Repeats:    o.repeats(),
+		Seed:       o.seed(),
+		Quick:      o.Quick,
+	}
+}
+
+// add appends a point and logs its summary line.
+func (r *PerfReport) add(log io.Writer, pt PerfPoint) {
+	r.Points = append(r.Points, pt)
+	fmt.Fprintf(log, "%-40s %4d ops  %12d ns  %10.1f ops/s  %9.0f pages/s  %7d allocs/op\n",
+		pt.Name, pt.Scenarios, pt.WallNs, pt.ScenariosPerSec, pt.PagesMigratedPerSec, pt.AllocsPerOp)
+}
+
+// write records the process peak RSS and writes the report to dir/name.
+func (r *PerfReport) write(dir, name string) error {
+	r.PeakRSSBytes = peakRSS()
+	var buf strings.Builder
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(r); err != nil {
+		return err
+	}
+	return os.WriteFile(dir+"/"+name, []byte(buf.String()), 0o644)
+}
+
+// gridName names a grid point: grid/<what>/<full|quick>/p<workers>.
+func gridName(what string, o PerfOptions) string {
+	size := "full"
+	if o.Quick {
+		size = "quick"
+	}
+	return "grid/" + what + "/" + size + "/" + pname(o.Parallel)
+}
+
+// pname renders a worker count as a point-name token (0 = GOMAXPROCS).
+func pname(parallel int) string {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	return "p" + strconv.Itoa(parallel)
+}
+
 // RunPerf executes the perf grid and writes BENCH_core.json and
 // BENCH_exp.json into dir, logging a summary line per point to log.
 //
 // BENCH_core contains the simulator-core points: the migration+pressure
 // acceptance grid at the configured parallelism and serially, plus the
-// 64-node task smoke. BENCH_exp contains one point per registered
-// scenario family (quick size), so a perf regression can be attributed
-// to a family.
+// 64-node task smoke. The 256-node scale point is in BENCH_scale only.
+// BENCH_exp contains one point per registered scenario family (quick
+// size), so a perf regression can be attributed to a family.
 func RunPerf(o PerfOptions, dir string, log io.Writer) error {
-	report := func() PerfReport {
-		return PerfReport{
-			Schema:     PerfSchema,
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Parallel:   o.Parallel,
-			Repeats:    o.repeats(),
-			Seed:       o.seed(),
-			Quick:      o.Quick,
-		}
-	}
-	emit := func(core PerfReport, pt PerfPoint) PerfReport {
-		core.Points = append(core.Points, pt)
-		fmt.Fprintf(log, "%-40s %4d ops  %12d ns  %10.1f ops/s  %9.0f pages/s  %7d allocs/op\n",
-			pt.Name, pt.Scenarios, pt.WallNs, pt.ScenariosPerSec, pt.PagesMigratedPerSec, pt.AllocsPerOp)
-		return core
-	}
-
-	core := report()
-	suffix := "full"
-	if o.Quick {
-		suffix = "quick"
-	}
-	pname := func(parallel int) string {
-		p := parallel
-		if p <= 0 {
-			p = runtime.GOMAXPROCS(0)
-		}
-		return "p" + strconv.Itoa(p)
-	}
-	mp := []string{"migration", "pressure"}
-	pt, err := gridPoint("grid/migration+pressure/"+suffix+"/"+pname(o.Parallel), o, mp, o.Quick)
-	if err != nil {
-		return err
-	}
-	core = emit(core, pt)
+	core := newReport(o)
 	serial := o
 	serial.Parallel = 1
-	pt, err = gridPoint("grid/migration+pressure/"+suffix+"/p1", serial, mp, o.Quick)
-	if err != nil {
-		return err
+	mp := []string{"migration", "pressure"}
+	for _, po := range []PerfOptions{o, serial} {
+		pt, err := gridPoint(gridName("migration+pressure", po), po, mp, o.Quick)
+		if err != nil {
+			return err
+		}
+		core.add(log, pt)
 	}
-	core = emit(core, pt)
 	// The same serial grid with a subscriber on every telemetry topic of
 	// every System: p1-bus vs p1 is the recorded cost of a fully lit
 	// event bus (the acceptance bound is <= 5%).
@@ -358,29 +385,26 @@ func RunPerf(o PerfOptions, dir string, log io.Writer) error {
 		sys.Bus().SubscribeAll(func(telemetry.Event) { events++ })
 		_ = events
 	})
-	pt, err = gridPoint("grid/migration+pressure/"+suffix+"/p1-bus", serial, mp, o.Quick)
+	pt, err := gridPoint(gridName("migration+pressure", serial)+"-bus", serial, mp, o.Quick)
 	numamig.SetSystemObserver(nil)
 	if err != nil {
 		return err
 	}
-	core = emit(core, pt)
-	core = emit(core, smokePoint(o))
-	core = emit(core, scalePoint(o))
-	core.PeakRSSBytes = peakRSS()
-	if err := writeReport(dir, "BENCH_core.json", core); err != nil {
+	core.add(log, pt)
+	core.add(log, smokePoint(o))
+	if err := core.write(dir, "BENCH_core.json"); err != nil {
 		return err
 	}
 
-	expRep := report()
+	expRep := newReport(o)
 	for _, fam := range exp.Families() {
 		pt, err := gridPoint("family/"+fam+"/quick/"+pname(o.Parallel), o, []string{fam}, true)
 		if err != nil {
 			return err
 		}
-		expRep = emit(expRep, pt)
+		expRep.add(log, pt)
 	}
-	expRep.PeakRSSBytes = peakRSS()
-	return writeReport(dir, "BENCH_exp.json", expRep)
+	return expRep.write(dir, "BENCH_exp.json")
 }
 
 // servePoint is one saturated multi-tenant serve machine measured
@@ -423,84 +447,36 @@ func servePoint(o PerfOptions) PerfPoint {
 // RunServePerf executes the multi-tenant serving points — the serve
 // scenario grid at the configured parallelism and serially, plus the
 // saturated direct-driver point — and writes BENCH_serve.json into
-// dir. cmd/numabench -perf -serve drives it; the CI bench-serve job
-// runs the quick sizes and gates them with tools/benchcmp like the
-// core and scale trajectories.
+// dir. cmd/numabench -perf -serve drives it; the CI bench job's serve
+// suite runs the quick sizes and gates them with tools/benchcmp like
+// the core and scale trajectories.
 func RunServePerf(o PerfOptions, dir string, log io.Writer) error {
-	rep := PerfReport{
-		Schema:     PerfSchema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Parallel:   o.Parallel,
-		Repeats:    o.repeats(),
-		Seed:       o.seed(),
-		Quick:      o.Quick,
-	}
-	emit := func(pt PerfPoint) {
-		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(log, "%-40s %4d ops  %12d ns  %10.1f ops/s  %9.0f pages/s  %7d allocs/op\n",
-			pt.Name, pt.Scenarios, pt.WallNs, pt.ScenariosPerSec, pt.PagesMigratedPerSec, pt.AllocsPerOp)
-	}
-	suffix := "full"
-	if o.Quick {
-		suffix = "quick"
-	}
-	pname := func(parallel int) string {
-		if parallel <= 0 {
-			parallel = runtime.GOMAXPROCS(0)
-		}
-		return "p" + strconv.Itoa(parallel)
-	}
-	pt, err := gridPoint("grid/serve/"+suffix+"/"+pname(o.Parallel), o, []string{"serve"}, o.Quick)
-	if err != nil {
-		return err
-	}
-	emit(pt)
+	rep := newReport(o)
 	serial := o
 	serial.Parallel = 1
-	pt, err = gridPoint("grid/serve/"+suffix+"/p1", serial, []string{"serve"}, o.Quick)
-	if err != nil {
-		return err
+	for _, po := range []PerfOptions{o, serial} {
+		pt, err := gridPoint(gridName("serve", po), po, []string{"serve"}, o.Quick)
+		if err != nil {
+			return err
+		}
+		rep.add(log, pt)
 	}
-	emit(pt)
-	emit(servePoint(o))
-	rep.PeakRSSBytes = peakRSS()
-	return writeReport(dir, "BENCH_serve.json", rep)
+	rep.add(log, servePoint(o))
+	return rep.write(dir, "BENCH_serve.json")
 }
 
 // RunScalePerf executes only the datacenter-scale points — the
 // 256-node × 100k-task churn, 1024-node construction, and the
 // 1024-node idle-daemon smoke — and writes BENCH_scale.json into dir.
-// cmd/numabench -perf -scale drives it; the CI bench-scale job runs
-// the quick sizes and gates them with tools/benchcmp like the core
-// trajectory.
+// cmd/numabench -perf -scale drives it; the CI bench job's scale suite
+// runs the quick sizes and gates them with tools/benchcmp like the
+// core trajectory.
 func RunScalePerf(o PerfOptions, dir string, log io.Writer) error {
-	rep := PerfReport{
-		Schema:     PerfSchema,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Parallel:   o.Parallel,
-		Repeats:    o.repeats(),
-		Seed:       o.seed(),
-		Quick:      o.Quick,
-	}
+	rep := newReport(o)
 	for _, pt := range []PerfPoint{scalePoint(o), scaleConstructPoint(o), scaleIdlePoint(o)} {
-		rep.Points = append(rep.Points, pt)
-		fmt.Fprintf(log, "%-40s %4d ops  %12d ns  %10.1f ops/s  %9.0f pages/s  %7d allocs/op\n",
-			pt.Name, pt.Scenarios, pt.WallNs, pt.ScenariosPerSec, pt.PagesMigratedPerSec, pt.AllocsPerOp)
+		rep.add(log, pt)
 	}
-	rep.PeakRSSBytes = peakRSS()
-	return writeReport(dir, "BENCH_scale.json", rep)
-}
-
-func writeReport(dir, name string, r PerfReport) error {
-	var buf strings.Builder
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return err
-	}
-	return os.WriteFile(dir+"/"+name, []byte(buf.String()), 0o644)
+	return rep.write(dir, "BENCH_scale.json")
 }
 
 // peakRSS reads the process high-water RSS from /proc/self/status

@@ -32,7 +32,7 @@ type Scenario struct {
 	ID      string `json:"id"`
 	Family  string `json:"family"`
 	Patched bool   `json:"patched"`
-	Mode    string `json:"mode"`  // sync | lazy-kernel | lazy-user | static | replicated | autonuma | off
+	Mode    string `json:"mode"`  // sync | lazy-kernel | lazy-user | static | replicated | autonuma | off; paper families: the first variant token
 	Pages   int    `json:"pages"` // buffer size in 4 KiB pages
 	Nodes   int    `json:"nodes"` // machine size in NUMA nodes
 	Seed    int64  `json:"seed"`
@@ -102,7 +102,10 @@ type Result struct {
 	P99AccessLatBatch float64 `json:"p99_access_lat_batch,omitempty"`
 	SteadyMigrateBW   float64 `json:"steady_migrate_bw_mbps,omitempty"`
 	CapViolations     int     `json:"cap_violations,omitempty"`
-	Err               string  `json:"err,omitempty"`
+	// CostSharePct is a Fig. 6 cell's cost category as a percent of its
+	// next-touch variant's listed categories.
+	CostSharePct float64 `json:"cost_share_pct,omitempty"`
+	Err          string  `json:"err,omitempty"`
 }
 
 // Options scales scenario generation.
@@ -112,8 +115,8 @@ type Options struct {
 	// Seed is the base deterministic seed (default 1).
 	Seed int64
 	// NodeList overrides the machine-size sweep with explicit
-	// topology.Grid node counts (subset of 1, 2, 4, 8); empty keeps the
-	// per-family defaults.
+	// topology.Grid node counts (each in 1..topology.MaxNodes); empty
+	// keeps the per-family defaults.
 	NodeList []int
 	// CoresPerNode sets cores per node for every generated scenario
 	// (0: the Opteron host's 4).

@@ -9,7 +9,9 @@ import (
 
 func TestFamiliesRegistered(t *testing.T) {
 	fams := Families()
-	want := []string{"autonuma", "migration", "pressure", "replication", "scale", "serve", "tiered", "tiering"}
+	want := []string{"autonuma", "blas1", "exthuge", "extreplica", "fig4", "fig5", "fig6a", "fig6b",
+		"fig7", "fig8", "migration", "policies", "pressure", "replication", "scale", "serve", "table1",
+		"tiered", "tiering"}
 	if len(fams) != len(want) {
 		t.Fatalf("families = %v, want %v", fams, want)
 	}
@@ -61,6 +63,9 @@ func TestRunScenarioUnknownFamilyAndMode(t *testing.T) {
 	}
 	if r := RunScenario(Scenario{Family: "migration", Mode: "bogus", Pages: 1, Nodes: 2, Seed: 1}); r.Err == "" {
 		t.Fatal("unknown mode ran")
+	}
+	if r := RunScenario(Scenario{ID: "fig4/memcpy/p3/n4", Family: "fig4", Pages: 3, Nodes: 4, Seed: 1}); r.Err == "" {
+		t.Fatal("paper cell outside the figure's table ran")
 	}
 }
 

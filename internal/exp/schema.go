@@ -62,6 +62,7 @@ func Columns() []Column {
 		{"p99_access_lat_batch", func(r *Result) string { return flt(r.P99AccessLatBatch) }, true},
 		{"steady_migrate_bw_mbps", func(r *Result) string { return flt(r.SteadyMigrateBW) }, true},
 		{"cap_violations", func(r *Result) string { return str(r.CapViolations) }, true},
+		{"cost_share_pct", func(r *Result) string { return flt(r.CostSharePct) }, true},
 		{"err", func(r *Result) string { return r.Err }, false},
 	}
 }

@@ -1,6 +1,6 @@
 // Package report renders experiment results as aligned ASCII tables,
-// gnuplot-style data series, CSV, and JSON, for the bench and exp
-// harnesses and cmd/numabench.
+// Markdown, CSV, and JSON, for the exp grid, the artifact campaigns and
+// cmd/numabench.
 package report
 
 import (
@@ -205,84 +205,4 @@ func appendCSVRow(buf []byte, cells []string) []byte {
 		}
 	}
 	return append(buf, '\n')
-}
-
-// Series is one named curve of (x, y) points, matching a figure line.
-type Series struct {
-	Name   string
-	X, Y   []float64
-	XLabel string
-	YLabel string
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Figure is a set of series sharing axes, matching one paper figure.
-type Figure struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*Series
-}
-
-// NewFigure creates a figure.
-func NewFigure(title, xlabel, ylabel string) *Figure {
-	return &Figure{Title: title, XLabel: xlabel, YLabel: ylabel}
-}
-
-// NewSeries adds a named curve.
-func (f *Figure) NewSeries(name string) *Series {
-	s := &Series{Name: name, XLabel: f.XLabel, YLabel: f.YLabel}
-	f.Series = append(f.Series, s)
-	return s
-}
-
-// Write renders the figure as an aligned data block: one x column and
-// one column per series (gnuplot-ready).
-func (f *Figure) Write(w io.Writer) {
-	fmt.Fprintf(w, "## %s\n", f.Title)
-	headers := []string{f.XLabel}
-	for _, s := range f.Series {
-		headers = append(headers, s.Name)
-	}
-	tbl := NewTable("", headers...)
-	// Union of x values in first-series order (series normally share x).
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	tbl.Grow(len(xs))
-	row := make([]interface{}, 0, len(f.Series)+1)
-	for _, x := range xs {
-		row = append(row[:0], x)
-		for _, s := range f.Series {
-			v := ""
-			for i, sx := range s.X {
-				if sx == x {
-					v = FormatFloat(s.Y[i])
-					break
-				}
-			}
-			row = append(row, v)
-		}
-		tbl.Add(row...)
-	}
-	tbl.Write(w)
-}
-
-// String renders the figure to a string.
-func (f *Figure) String() string {
-	var sb strings.Builder
-	f.Write(&sb)
-	return sb.String()
 }

@@ -54,35 +54,6 @@ func TestCSVEscaping(t *testing.T) {
 	}
 }
 
-func TestFigureSeriesAlignment(t *testing.T) {
-	fig := NewFigure("F", "x", "y")
-	a := fig.NewSeries("a")
-	b := fig.NewSeries("b")
-	a.Add(1, 10)
-	a.Add(2, 20)
-	b.Add(1, 100)
-	b.Add(2, 200)
-	out := fig.String()
-	if !strings.Contains(out, "## F") {
-		t.Fatal("missing title")
-	}
-	for _, frag := range []string{"x", "a", "b", "10", "200"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("missing %q in:\n%s", frag, out)
-		}
-	}
-	// Series with a missing x leaves the cell empty rather than
-	// fabricating data.
-	c := fig.NewSeries("c")
-	c.Add(1, 7)
-	out = fig.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	last := lines[len(lines)-1] // x=2 row
-	if strings.Count(last, "7") != 0 && !strings.HasPrefix(last, "2") {
-		t.Fatalf("unexpected row: %q", last)
-	}
-}
-
 func TestJSONDeterministicAndIndented(t *testing.T) {
 	type row struct {
 		Name string  `json:"name"`

@@ -130,15 +130,10 @@ func checkCoverage(cfg *artifact.Config, rows []artifact.Row) error {
 
 // compareDerived re-renders summary.json and tables.md from the
 // recomputed analysis and byte-compares them with the files on disk.
-// figures.txt would need a full simulator run to recompute, so only
-// its presence is checked.
 func compareDerived(cfg *artifact.Config, an *artifact.Analysis, dir string) error {
 	outputs := map[string]bool{}
 	if len(cfg.Outputs) == 0 {
 		outputs[artifact.OutJSON], outputs[artifact.OutMD] = true, true
-		if len(cfg.Experiments) > 0 {
-			outputs[artifact.OutFigures] = true
-		}
 	} else {
 		for _, o := range cfg.Outputs {
 			outputs[o] = true
@@ -160,15 +155,6 @@ func compareDerived(cfg *artifact.Config, an *artifact.Analysis, dir string) err
 		}
 		if err := compareFile(filepath.Join(dir, artifact.TablesName), want); err != nil {
 			return err
-		}
-	}
-	if outputs[artifact.OutFigures] {
-		fi, err := os.Stat(filepath.Join(dir, artifact.FiguresName))
-		if err != nil {
-			return err
-		}
-		if fi.Size() == 0 {
-			return fmt.Errorf("%s is empty", artifact.FiguresName)
 		}
 	}
 	return nil
